@@ -31,10 +31,7 @@ check: lint staticcheck govulncheck
 # secretflow, lockcheck, exhaustive, quorumcheck, certgate, boundedalloc,
 # allocfree (on the dataflow engine and the interproc call-graph/summary
 # layer) — see cmd/troxy-lint and DESIGN.md "Trust-boundary enforcement".
-# The standalone driver caches per-package results under bin/.lintcache keyed
-# by content (driver binary, export data, sources), so an unchanged tree
-# re-lints from the cache; TROXY_LINT_TIMING=1 prints per-analyzer wall time
-# and the cache hit/miss tally to stderr.
+# TROXY_LINT_TIMING=1 prints per-analyzer wall time to stderr.
 # Any diagnostic fails the build. Suppressions use
 # `//lint:allow <analyzer> <reason>` on or above the offending line; a
 # suppression with an unknown analyzer name or a missing reason is itself

@@ -82,10 +82,9 @@ func BenchmarkFig11(b *testing.B) { benchExperiment(b, "fig11") }
 // for the table, which also reports the certification amortization factor).
 func BenchmarkBatching(b *testing.B) { benchExperiment(b, "batching") }
 
-// BenchmarkTransport runs the realnet egress-transport matrix (ring vs
-// buffered over a TCP bridge, wall clock); the experiment itself panics
-// unless the ring transport's closed-loop p50 beats the buffered one at
-// batch=64 depth=4.
+// BenchmarkTransport runs the realnet ring-transport table (closed loop over
+// a TCP bridge, wall clock); the experiment itself panics if any cell drops
+// a frame or if batch=64 depth=4 coalesces fewer than 8 frames per flush.
 func BenchmarkTransport(b *testing.B) { benchExperiment(b, "transport") }
 
 // Micro-benchmarks of the primitives underlying the simulation's cost model.

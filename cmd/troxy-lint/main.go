@@ -31,14 +31,14 @@
 // internal/analysis/interproc call-graph and summary engine; their
 // cross-function findings are reported at the call site (put the
 // //lint:allow there). Set TROXY_LINT_TIMING=1 for per-analyzer wall time
-// and lint-cache hit/miss counts on stderr.
+// on stderr.
 //
 // Malformed //lint:allow comments (stale analyzer name, missing reason) are
-// reported by the unsuppressable "allowaudit" pass built into the drivers.
+// reported by the unsuppressable "allowaudit" pass built into the driver.
 //
-// Run it either standalone (`go run ./cmd/troxy-lint ./...`) or as a
-// vettool (`go vet -vettool=$(pwd)/bin/troxy-lint ./...`); `make lint` does
-// the latter. Suppress a finding with a trailing or preceding
+// Run it on package patterns: `go run ./cmd/troxy-lint ./...`, or
+// `make lint`, which builds bin/troxy-lint and runs it over ./... after
+// `go vet`. Suppress a finding with a trailing or preceding
 // `//lint:allow <analyzer> <reason>` comment — see DESIGN.md.
 package main
 

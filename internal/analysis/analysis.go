@@ -4,20 +4,16 @@
 // library's go/ast and go/types, because this repository vendors no
 // third-party code.
 //
-// Two drivers run the analyzers (see cmd/troxy-lint):
-//
-//   - a unitchecker-compatible driver speaking the `go vet -vettool`
-//     protocol (one process per compilation unit, imports resolved from the
-//     build cache's gc export data), and
-//   - a standalone driver that loads whole package patterns via
-//     `go list -export -deps -json`.
+// One driver runs the analyzers (see cmd/troxy-lint and standalone.go): it
+// loads whole package patterns via `go list -export -deps -json` and
+// typechecks each package against the build cache's gc export data.
 //
 // Suppression: a diagnostic is dropped when the offending line, or the line
 // immediately above it, carries a comment of the form
 //
 //	//lint:allow <analyzer> <reason...>
 //
-// The reason is mandatory by convention (reviewed, not machine-checked):
+// The reason is mandatory (the allowaudit pass reports an allow without one):
 // every allow marks a deliberate, documented exception to a trust-boundary
 // or determinism invariant. Inter-procedural findings (a tainted argument
 // reaching a sink inside a callee, a lock held across a call that
@@ -28,8 +24,7 @@
 // code.
 //
 // Setting TROXY_LINT_TIMING=1 in the environment prints per-analyzer wall
-// time per package to stderr (the variable reaches the vettool subprocesses
-// through go vet's inherited environment).
+// time per package to stderr.
 package analysis
 
 import (

@@ -61,8 +61,8 @@ func TestSendRingTakeDoubleBuffers(t *testing.T) {
 }
 
 // bridgePair wires router A (hosting node 1) to router B (hosting node 2)
-// over a TCP bridge using the given transport on the sending side.
-func bridgePair(t *testing.T, transport Transport) (ra, rb *Router, ba *Bridge) {
+// over a TCP bridge.
+func bridgePair(t *testing.T) (ra, rb *Router, ba *Bridge) {
 	t.Helper()
 	ra, rb = NewRouter(), NewRouter()
 	t.Cleanup(ra.Close)
@@ -75,14 +75,13 @@ func bridgePair(t *testing.T, transport Transport) (ra, rb *Router, ba *Bridge) 
 	t.Cleanup(bb.Close)
 
 	ba = NewBridge(ra, map[msg.NodeID]string{2: bb.Addr().String()})
-	ba.SetTransport(transport)
 	t.Cleanup(ba.Close)
 	return ra, rb, ba
 }
 
 func TestRingTransportFlushStats(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	ra, rb, ba := bridgePair(t, TransportRing)
+	ra, rb, ba := bridgePair(t)
 
 	const sent = 32
 	recv := newCollector(sent)
@@ -112,29 +111,12 @@ func TestRingTransportFlushStats(t *testing.T) {
 	}
 }
 
-func TestBufferedTransportStillWorks(t *testing.T) {
-	testutil.CheckGoroutines(t)
-	ra, rb, ba := bridgePair(t, TransportBuffered)
-
-	recv := newCollector(5)
-	rb.Attach(2, recv)
-	ra.Attach(1, &senderNode{to: 2, n: 5})
-	waitCh(t, recv.done, "buffered-bridged envelopes")
-
-	// The buffered transport reports no ring activity.
-	for addr, s := range ba.FlushStats() {
-		if s.Flushes != 0 || s.Frames != 0 {
-			t.Errorf("buffered peer %s reports ring stats %+v", addr, s)
-		}
-	}
-}
-
 func TestRingLoneFrameFlushesOnDeadline(t *testing.T) {
 	// A lone frame must go out promptly (one straggler yield at most), not
 	// wait for more traffic: this is the flush-on-idle latency pathology the
 	// ring fixes.
 	testutil.CheckGoroutines(t)
-	ra, rb, _ := bridgePair(t, TransportRing)
+	ra, rb, _ := bridgePair(t)
 
 	recv := newCollector(1)
 	rb.Attach(2, recv)
@@ -152,7 +134,7 @@ func TestRingLoneFrameFlushesOnDeadline(t *testing.T) {
 // survivors leave in coalesced vectored writes.
 func TestRingFaultplanePerMessage(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	ra, rb, _ := bridgePair(t, TransportRing)
+	ra, rb, _ := bridgePair(t)
 	ra.SetFault(faultplane.NewInjector(7, faultplane.Plan{
 		Links: []faultplane.LinkFault{{
 			From: faultplane.Wildcard, To: 2,
